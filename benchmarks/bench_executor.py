@@ -1,8 +1,8 @@
 """Batch-vs-row executor ablation: the vectorized read hot path.
 
-The batch engine freezes the store into a CSR snapshot once per write
-epoch and serves anchors, temporal filters, frontier expansion and point
-reads from flat columns (``repro/plan/batch.py``).  This bench builds the
+The batch engine lays the store out as a CSR once, patches it in place on
+every write, and serves anchors, temporal filters, frontier expansion and
+point reads from flat columns (``repro/plan/batch.py``).  This bench builds the
 same ~10k-element churned inventory the time-travel ablation uses, then
 times each operator family with ``batch_enabled`` flipped on and off:
 
@@ -15,7 +15,15 @@ times each operator family with ``batch_enabled`` flipped on and off:
   adjacency-dict chasing);
 * **pathway match** — end-to-end ``find_paths`` of VM()->OnServer()->Host()
   through the planner/executor, where shared NFA stepping dilutes the
-  operator-level gains.
+  operator-level gains;
+* **churn-interleaved** — rounds of one VM status update plus one
+  OnServer migration (edge delete + insert), each followed by the same
+  pathway match.  ``churn_read_ratio`` is the median read-after-write
+  latency over the median read-only latency; with the CSR patched per
+  write it stays near 1, where a per-write rebuild would add a full
+  O(graph) build to every read after a write.
+
+``csr_build_ms`` is the median of ``BUILD_RUNS`` cold ``build_csr`` calls.
 
 Every timed pair is digest-checked, so the ablation doubles as a
 differential test at benchmark scale.  Results land in
@@ -33,12 +41,15 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 
 from repro.core.database import NepalDB
 from repro.rpe.parser import parse_rpe
 from repro.schema.builtin import build_network_schema
+from repro.stats.metrics import MetricsRegistry
 from repro.storage.base import TimeScope
+from repro.storage.memgraph.csr import build_csr
 from repro.storage.memgraph.store import MemGraphStore
 from repro.temporal.clock import TransactionClock
 from repro.util.text import format_table
@@ -49,6 +60,8 @@ DAY = 86_400.0
 ELEMENTS = int(os.environ.get("NEPAL_EXEC_ELEMENTS", "10000"))
 DAYS = int(os.environ.get("NEPAL_EXEC_DAYS", "12"))
 REPEAT = int(os.environ.get("NEPAL_EXEC_REPEAT", "3"))
+CHURN_ROUNDS = 30
+BUILD_RUNS = 5
 JSON_PATH = os.environ.get("NEPAL_EXEC_JSON", "BENCH_executor.json")
 
 #: The >= 3x acceptance targets only bind at the 10k-element scale the
@@ -114,6 +127,67 @@ def timed(fn):
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, result
+
+
+def cold_build_ms(store: MemGraphStore) -> float:
+    """Median of BUILD_RUNS from-scratch CSR builds (never a cache hit)."""
+    runs = []
+    for _ in range(BUILD_RUNS):
+        started = time.perf_counter()
+        build_csr(store)
+        runs.append(time.perf_counter() - started)
+    return statistics.median(runs) * 1000
+
+
+def churn_cell(store: MemGraphStore, match) -> dict[str, float]:
+    """Read-only vs read-after-write latency of *match* on the batch path.
+
+    Each round updates one VM's status and migrates another VM (deletes
+    its current OnServer edge, inserts one to another host), then runs
+    the match twice: the first run is read-after-write, the second
+    read-only on the same state, so machine drift hits both alike.  No
+    round may rebuild the CSR.
+    """
+    rng = random.Random(SEED + 1)
+    current = TimeScope.current()
+    host_atom = parse_rpe("Host()").bind(store.schema)
+    edge_atom = parse_rpe("OnServer()").bind(store.schema)
+    hosts = [r.uid for r in store.scan_atom(host_atom, current)]
+    placement = {e.source_uid: e.uid for e in store.scan_atom(edge_atom, current)}
+    vms = sorted(placement)
+
+    def read_ms() -> float:
+        started = time.perf_counter()
+        match()
+        return (time.perf_counter() - started) * 1000
+
+    read_ms()  # plan and caches warm
+    metrics = MetricsRegistry()
+    store.set_metrics(metrics)
+    after_write, read_only = [], []
+    try:
+        for i in range(CHURN_ROUNDS):
+            store.clock.advance(60)
+            store.update_element(rng.choice(vms), {"status": ("Green", "Red")[i % 2]})
+            vm = rng.choice(vms)
+            store.delete_element(placement[vm])
+            placement[vm] = store.insert_edge("OnServer", vm, rng.choice(hosts))
+            after_write.append(read_ms())
+            read_only.append(read_ms())
+    finally:
+        store.set_metrics(None)
+    builds = metrics.event_count("executor.batch.csr_build")
+    assert builds == 0, f"{builds} CSR builds during {CHURN_ROUNDS} churn rounds"
+    read_only_ms = statistics.median(read_only)
+    after_write_ms = statistics.median(after_write)
+    return {
+        "rounds": CHURN_ROUNDS,
+        "read_only_ms": read_only_ms,
+        "read_after_write_ms": after_write_ms,
+        "csr_patches": metrics.event_count("executor.batch.csr_patch"),
+        "csr_compactions": metrics.event_count("executor.batch.csr_compact"),
+        "churn_read_ratio": after_write_ms / read_only_ms,
+    }
 
 
 def scan_digest(records) -> list[tuple]:
@@ -183,11 +257,11 @@ def test_executor_ablation_table(capsys):
         ),
     ]
 
-    # Build the CSR outside the timings: the first batch read of an epoch
-    # defers (rebuild-thrash guard), the second builds.  Steady state —
-    # what the cells measure — reuses it.
+    # Build the CSR outside the timings (the first batch read does);
+    # steady state — what the cells measure — reuses it.
     store.batch_enabled = True
-    build_s, _ = timed(lambda: store._csr_snapshot() or store._csr_snapshot())
+    store._csr_snapshot()
+    build_ms = cold_build_ms(store)
 
     rows = []
     table_rows = []
@@ -223,6 +297,23 @@ def test_executor_ablation_table(capsys):
     )
     min_speedup = min(speedups.values())
 
+    # Runs last: its writes change the graph the cells above measured.
+    uids_ever = len(store.known_uids())
+    csr_shape = store._csr_snapshot().describe()
+    churn = churn_cell(store, cases[-1][1])
+    store.batch_enabled = False
+    try:
+        row_final = path_digest(db.find_paths(path_rpe, store="bench"))
+    finally:
+        store.batch_enabled = True
+    assert path_digest(db.find_paths(path_rpe, store="bench")) == row_final
+    table_rows.append([
+        "churn: read after write / read only",
+        f"{churn['read_after_write_ms']:.2f}",
+        f"{churn['read_only_ms']:.2f}",
+        f"{churn['churn_read_ratio']:.2f}x",
+    ])
+
     payload = {
         "bench": "executor",
         "elements": ELEMENTS,
@@ -230,12 +321,14 @@ def test_executor_ablation_table(capsys):
         "repeat": REPEAT,
         "full_scale": FULL_SCALE,
         "churn_fraction": CHURN_FRACTION,
-        "uids_ever": len(store.known_uids()),
+        "uids_ever": uids_ever,
         "live_vms": len(vm_uids),
         "hosts": len(host_uids),
-        "csr_build_ms": build_s * 1000,
-        "csr": store._csr_snapshot().describe(),
+        "csr_build_ms": build_ms,
+        "csr_build_runs": BUILD_RUNS,
+        "csr": csr_shape,
         "rows": rows,
+        "churn": churn,
         "temporal_filter_speedup": filter_speedup,
         "two_hop_speedup": hop_speedup,
         "min_speedup": min_speedup,
@@ -247,7 +340,9 @@ def test_executor_ablation_table(capsys):
                 "two_hop_speedup": hop_speedup,
                 "min_speedup": min_speedup,
             },
-            "lower_is_better": {},
+            "lower_is_better": {
+                "churn_read_ratio": churn["churn_read_ratio"],
+            },
         },
     }
     with open(JSON_PATH, "w", encoding="utf-8") as handle:
@@ -259,7 +354,7 @@ def test_executor_ablation_table(capsys):
         print(
             f"== batch vs row executor ({ELEMENTS} elements, {DAYS} churn days, "
             f"{payload['uids_ever']} uids ever, {len(vm_uids)} live VMs, "
-            f"CSR build {build_s * 1000:.1f} ms) =="
+            f"CSR build {build_ms:.1f} ms, median of {BUILD_RUNS} cold) =="
         )
         print(format_table(["cell", "batch ms", "row ms", "speedup"], table_rows))
         print(f"(written to {JSON_PATH})")

@@ -224,7 +224,8 @@ def batch_expand_many(
         return result
 
     a, b = (0.0, 0.0) if current else _window(scope)
-    chain_offsets = csr.chain_offsets
+    chain_lo = csr.chain_lo
+    chain_hi = csr.chain_hi
     chain_starts = csr.chain_starts
     chain_ends = csr.chain_ends
     chain_records = csr.chain_records
@@ -247,10 +248,8 @@ def batch_expand_many(
                     for i in range(lo, hi):
                         # latest_visible_dense, inlined for the hot loop
                         d = flat[i]
-                        clo = chain_offsets[d]
-                        chi = bisect_left(
-                            chain_starts, b, clo, chain_offsets[d + 1]
-                        )
+                        clo = chain_lo[d]
+                        chi = bisect_left(chain_starts, b, clo, chain_hi[d])
                         if chi > clo and chain_ends[chi - 1] > a:
                             records.append(chain_records[chi - 1])  # type: ignore[arg-type]
         result[uid] = records
@@ -273,7 +272,8 @@ def batch_get_many(
                     result[uid] = record
         return result
     a, b = _window(scope)
-    chain_offsets = csr.chain_offsets
+    chain_lo = csr.chain_lo
+    chain_hi = csr.chain_hi
     chain_starts = csr.chain_starts
     chain_ends = csr.chain_ends
     chain_records = csr.chain_records
@@ -281,8 +281,8 @@ def batch_get_many(
         dense = dense_get(uid)
         if dense is None:
             continue
-        lo = chain_offsets[dense]
-        hi = bisect_left(chain_starts, b, lo, chain_offsets[dense + 1])
+        lo = chain_lo[dense]
+        hi = bisect_left(chain_starts, b, lo, chain_hi[dense])
         if hi > lo and chain_ends[hi - 1] > a:
             result[uid] = chain_records[hi - 1]
     return result

@@ -44,6 +44,12 @@ overrun.  The default deadline comes from the database's configured
 Request accounting lands in the owning ``MetricsRegistry`` under
 ``server.*`` (requests, queries, writes, rejected, deadline_exceeded,
 errors) next to the ``concurrency.*`` counters of the commit gate.
+Request bodies are bounded before a byte is read: a malformed or
+negative ``Content-Length`` answers ``400`` (``server.rejected.bad_length``)
+and one over ``max_body_bytes`` answers ``413``
+(``server.rejected.body_too_large``); after a 413 the server drops a
+bounded part of the body so the close does not reset the connection
+before the client reads the status.
 
 Observability: every response carries an ``X-Nepal-Trace-Id`` header —
 the id of the request's :class:`TraceContext` when one was recorded
@@ -56,7 +62,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -106,6 +114,30 @@ class ServerConfig:
     #: Readiness threshold: a replica lagging more than this many records
     #: behind its primary answers 503 on ``GET /readyz``.
     lag_threshold: int = 1000
+    #: Largest request body accepted; longer ones answer 413 before the
+    #: body is read.
+    max_body_bytes: int = 1 << 20
+
+
+#: After a 413 the server reads and drops at most this much of the body,
+#: for at most this long, so that closing the socket with the body still
+#: unread does not reset the connection before the client reads the 413.
+DISCARD_BYTES = 4 << 20
+DISCARD_SECONDS = 2.0
+
+
+class BodyRejected(Exception):
+    """A request body refused on its ``Content-Length`` alone.
+
+    ``unread`` is the number of body bytes the client announced and may
+    still be sending (0 when the length itself was unusable).
+    """
+
+    def __init__(self, status: int, kind: str, message: str, unread: int = 0):
+        super().__init__(message)
+        self.status = status
+        self.kind = kind
+        self.unread = unread
 
 
 @dataclass
@@ -292,7 +324,19 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block the worker until the client closes.
+            raise BodyRejected(400, "bad_length", f"bad Content-Length {raw_length!r}")
+        limit = self.app.config.max_body_bytes
+        if length > limit:
+            raise BodyRejected(
+                413, "body_too_large", f"body of {length} bytes exceeds {limit}", length
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -300,6 +344,29 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise NepalError("request body must be a JSON object")
         return payload
+
+    def _discard_body(self, length: int) -> None:
+        """Drop up to ``DISCARD_BYTES`` of a rejected body after the response.
+
+        The write side is shut first, so a client that sent only headers
+        sees end-of-stream at once and closes; the read then ends early.
+        """
+        self.wfile.flush()
+        deadline = time.monotonic() + DISCARD_SECONDS
+        remaining = min(length, DISCARD_BYTES)
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while remaining > 0:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(min(remaining, 1 << 16))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+        except OSError:
+            pass  # the client went away or timed out: nothing left to save
 
     def _dispatch(self, method: str) -> None:
         app = self.app
@@ -325,6 +392,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_text(200, response, ctx)
             else:
                 self._send_json(200, response, ctx)
+        except BodyRejected as error:
+            app._event(f"rejected.{error.kind}")
+            self._send_json(error.status, {"error": str(error)}, ctx)
+            if error.unread:
+                self._discard_body(error.unread)
         except QueryDeadlineExceeded as error:
             app._event("deadline_exceeded")
             self._send_json(504, {"error": str(error)}, ctx)

@@ -105,8 +105,9 @@ class MemGraphStore(GraphStore):
         #: require ``temporal_index_enabled`` so the temporal ablation keeps
         #: comparing against the genuine brute-force scan.
         self.batch_enabled = True
+        #: The batch engine's column layout: built on the first batch read,
+        #: then patched by every write (see :meth:`_csr_snapshot`).
         self._csr: CsrSnapshot | None = None
-        self._csr_seen_version = -1
         self._csr_lock = threading.Lock()
 
     def set_metrics(self, metrics: "MetricsRegistry | None") -> None:
@@ -121,8 +122,11 @@ class MemGraphStore(GraphStore):
     @contextmanager
     def bulk(self) -> Iterator[None]:
         """Hold the write lock across a whole batch, so readers never see
-        a half-applied bulk load."""
+        a half-applied bulk load.  A bulk load rewrites too much to patch
+        the CSR write by write, so it is dropped and rebuilt on the next
+        batch read."""
         with self.rwlock.write_locked:
+            self._csr = None
             yield
 
     def _event(self, event_name: str, count: int = 1) -> None:
@@ -198,10 +202,10 @@ class MemGraphStore(GraphStore):
             period=Interval(self.clock.now(), FOREVER),
             source_uid=source, target_uid=target,
         )
-        self._admit(record)
         if not revived:
             self._out.add(source, cls.name, uid)
             self._in.add(target, cls.name, uid)
+        self._admit(record)
         return uid
 
     def _admit(self, record: ElementRecord) -> None:
@@ -213,7 +217,19 @@ class MemGraphStore(GraphStore):
         start = record.period.start
         self._temporal_class.open(cls_name, record.uid, start)
         self._temporal_field.open(cls_name, record.uid, start, dict(record.fields))
+        csr = self._csr
+        if csr is not None:
+            csr.admit(record)
+            self._csr_patched(csr)
         self.bump_data_version()
+
+    def _csr_patched(self, csr: CsrSnapshot) -> None:
+        """Account for one in-place CSR patch; compact once the columns
+        hold more dead slots than live ones."""
+        self._event("executor.batch.csr_patch")
+        if csr.dead > csr.live():
+            self._csr = build_csr(self)
+            self._event("executor.batch.csr_compact")
 
     @_write_op
     def update_element(self, uid: int, changes: Mapping[str, Any]) -> None:
@@ -231,6 +247,7 @@ class MemGraphStore(GraphStore):
         cls_name = current.cls.name
         old_fields = dict(current.fields)
         self._field_index.discard(cls_name, uid, old_fields)
+        closed = None
         if now > current.period.start:
             closed = current.with_period(Interval(current.period.start, now))
             self._history.setdefault(uid, []).append(closed)
@@ -248,6 +265,10 @@ class MemGraphStore(GraphStore):
         self._current[uid] = replacement
         self._field_index.add(cls_name, uid, normalized)
         self._temporal_field.open(cls_name, uid, replacement.period.start, normalized)
+        csr = self._csr
+        if csr is not None:
+            csr.update(current, closed, replacement)
+            self._csr_patched(csr)
         self.bump_data_version()
 
     @staticmethod
@@ -275,6 +296,7 @@ class MemGraphStore(GraphStore):
                     self.delete_element(edge_uid)
         now = self.clock.now()
         fields = dict(current.fields)
+        closed = None
         if now > current.period.start:
             closed = current.with_period(Interval(current.period.start, now))
             self._history.setdefault(uid, []).append(closed)
@@ -287,6 +309,10 @@ class MemGraphStore(GraphStore):
         del self._current[uid]
         self._class_index.discard(current.cls.name, uid)
         self._field_index.discard(current.cls.name, uid, fields)
+        csr = self._csr
+        if csr is not None:
+            csr.delete(current, closed)
+            self._csr_patched(csr)
         self.bump_data_version()
 
     @_write_op
@@ -320,32 +346,24 @@ class MemGraphStore(GraphStore):
     # read path
     # ------------------------------------------------------------------
 
-    def _csr_snapshot(self) -> CsrSnapshot | None:
-        """The columnar snapshot for this ``data_version`` epoch, or ``None``
-        when the read should stay on the row path.
+    def _csr_snapshot(self) -> CsrSnapshot:
+        """The store's columnar layout, built on the first batch read.
 
-        The snapshot is immutable, so invalidation is just an epoch
-        comparison.  Rebuilds are lazy *and* amortized: the first batch
-        read of a fresh epoch only marks the epoch seen and runs row-wise;
-        the second pays one O(n) build that every later read in the epoch
-        reuses.  Write-heavy interleavings (one read per epoch) therefore
-        never thrash full rebuilds, while read-heavy epochs — the hot path
-        this layer exists for — go columnar from their second read on.
+        There is one CSR per store, kept valid across writes: each write
+        method patches it in place under the write lock (O(chain + degree),
+        never O(graph)), and rebuilds it only to compact dead slots.
+        ``bulk()`` drops it, so the next read builds it again.
 
         Callers hold the read lock, which keeps the build consistent;
         ``_csr_lock`` only stops concurrent readers duplicating the build.
         """
         snapshot = self._csr
-        version = self.data_version
-        if snapshot is not None and snapshot.data_version == version:
+        if snapshot is not None:
             self._event("executor.batch.csr_reuse")
             return snapshot
-        if self._csr_seen_version != version:
-            self._csr_seen_version = version
-            return None
         with self._csr_lock:
             snapshot = self._csr
-            if snapshot is not None and snapshot.data_version == version:
+            if snapshot is not None:
                 return snapshot
             snapshot = build_csr(self)
             self._csr = snapshot
@@ -375,12 +393,10 @@ class MemGraphStore(GraphStore):
     def get_many(self, uids: Sequence[int], scope: TimeScope) -> dict[int, ElementRecord]:
         """Batched :meth:`get_element` under a single lock acquisition."""
         if self.batch_enabled:
-            csr = self._csr_snapshot()
-            if csr is not None:
-                from repro.plan.batch import batch_get_many
+            from repro.plan.batch import batch_get_many
 
-                self._event("executor.batch.point_reads", len(uids))
-                return batch_get_many(csr, uids, scope)
+            self._event("executor.batch.point_reads", len(uids))
+            return batch_get_many(self._csr_snapshot(), uids, scope)
         result: dict[int, ElementRecord] = {}
         for uid in uids:
             versions = self._visible_versions(uid, scope)
@@ -416,15 +432,13 @@ class MemGraphStore(GraphStore):
         # Batch scans additionally require the temporal ablation switch on,
         # so flipping it off still compares against the true row oracle.
         if self._batch_reads():
-            csr = self._csr_snapshot()
-            if csr is not None:
-                from repro.plan.batch import batch_scan_atom
+            from repro.plan.batch import batch_scan_atom
 
-                results = batch_scan_atom(self, csr, atom, class_names, scope)
-                if results is not None:
-                    self._event("executor.batch.scan")
-                    self._event("executor.batch.scan_rows", len(results))
-                    return results
+            results = batch_scan_atom(self, self._csr_snapshot(), atom, class_names, scope)
+            if results is not None:
+                self._event("executor.batch.scan")
+                self._event("executor.batch.scan_rows", len(results))
+                return results
 
         candidate_uids = self._anchor_candidates(atom, class_names, scope)
         results: list[ElementRecord] = []
@@ -542,14 +556,12 @@ class MemGraphStore(GraphStore):
         self._event("index.expand.batches")
         self._event("index.expand.nodes", len(node_uids))
         if self.batch_enabled:
-            csr = self._csr_snapshot()
-            if csr is not None:
-                from repro.plan.batch import batch_expand_many
+            from repro.plan.batch import batch_expand_many
 
-                self._event("executor.batch.expand")
-                return batch_expand_many(
-                    csr, adjacency is self._out, node_uids, scope, class_names
-                )
+            self._event("executor.batch.expand")
+            return batch_expand_many(
+                self._csr_snapshot(), adjacency is self._out, node_uids, scope, class_names
+            )
         return {
             uid: self._expand(adjacency, uid, scope, class_names)
             for uid in node_uids

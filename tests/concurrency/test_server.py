@@ -88,6 +88,64 @@ class TestRoutes:
         assert excinfo.value.status == 400
 
 
+def raw_post(address, content_length: str, body: bytes = b"") -> int:
+    """POST claiming *content_length*, then *body*; the response status."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        # A small send buffer keeps a large body in flight while the
+        # server answers, as over a real network.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+        sock.sendall(
+            f"POST /query HTTP/1.0\r\nContent-Length: {content_length}\r\n\r\n".encode()
+            + body
+        )
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return int(data.split(b" ", 2)[1])
+
+
+class TestBodyLimits:
+    """Content-Length is checked before the body is read."""
+
+    @pytest.fixture
+    def limited(self):
+        db = NepalDB()
+        small_topology(db)
+        with NepalServer(db, ServerConfig(port=0, workers=2, max_body_bytes=256)) as server:
+            yield db, server
+        db.close()
+
+    def test_negative_length_is_400(self, limited):
+        db, server = limited
+        # Reading -1 bytes would block until the client closes; the 5 s
+        # socket timeout in raw_post turns that into a failure.
+        assert raw_post(server.address, "-1") == 400
+        assert db.metrics.event_count("server.rejected.bad_length") == 1
+
+    def test_malformed_length_is_400(self, limited):
+        db, server = limited
+        assert raw_post(server.address, "twelve") == 400
+        assert db.metrics.event_count("server.rejected.bad_length") == 1
+
+    def test_oversized_body_is_413(self, limited):
+        db, server = limited
+        assert raw_post(server.address, "257") == 413
+        assert db.metrics.event_count("server.rejected.body_too_large") == 1
+        # A body within the limit is still served.
+        client = NepalClient(*server.address)
+        assert len(client.query(VM_PATH)["rows"]) == 12
+        assert db.metrics.event_count("server.rejected.body_too_large") == 1
+
+    def test_oversized_body_sent_in_full_still_reads_413(self, limited):
+        db, server = limited
+        # A client that sends the whole body before reading must get the
+        # 413, not a reset from a close over unread bytes.
+        body = b"x" * (1 << 20)
+        for _ in range(3):
+            assert raw_post(server.address, str(len(body)), body) == 413
+        assert db.metrics.event_count("server.rejected.body_too_large") == 3
+
+
 class TestSnapshotsOverHTTP:
     def test_held_snapshot_freezes_view(self, served):
         db, _, _, client = served

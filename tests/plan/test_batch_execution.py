@@ -8,12 +8,14 @@ same record objects' values.  That contract is checked here under random
 churn across the backend matrix, through pinned snapshots while a writer
 churns underneath, and on a replica recovered from the durability log.
 
-The CSR builds on the *second* batch read of an epoch (the first defers
-to the row path so write-heavy periods never thrash rebuilds), so every
-batch leg below warms with two reads before comparing.
+The CSR is built on the first batch read and then patched in place by
+every write, so the batch legs below warm with one read and the
+interleaved cases keep writing after the CSR exists.
 """
 
 from __future__ import annotations
+
+import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,7 @@ from tests.storage.test_backend_equivalence import (
     matrix_stores,
     snapshot_of,
 )
+from tests.storage.test_csr import _patch_ops, write_steps
 
 _choices = st.lists(st.integers(min_value=0, max_value=997), min_size=60, max_size=60)
 
@@ -50,9 +53,8 @@ def engine_of(store):
 
 
 def warm(store, scope) -> None:
-    """Two reads, so the second-read-per-epoch heuristic builds the CSR."""
+    """One batch read, which builds the CSR."""
     bound = parse_rpe(f"{store.schema.classes()[0].name}()").bind(store.schema)
-    store.scan_atom(bound, scope)
     store.scan_atom(bound, scope)
 
 
@@ -133,6 +135,38 @@ def test_batch_matches_row_across_matrix_under_churn(ops, choices):
             assert snapshot_of(store, scope) == expected, (config, scope)
 
 
+@settings(max_examples=20, deadline=None)
+@given(_patch_ops, _choices)
+def test_batch_matches_row_as_writes_patch_the_csr(ops, choices):
+    """Build the CSR first, then interleave writes with batch reads: after
+    every write the patched CSR must serve exactly what the row path
+    does, at every scope, without ever being rebuilt."""
+    stores = {
+        config: store
+        for config, store in matrix_stores().items()
+        if engine_of(store) is not None
+    }
+    for config, store in stores.items():
+        engine = engine_of(store)
+        warm(store, TimeScope.current())
+        built = engine._csr
+        assert built is not None
+        for _ in write_steps(store, ops, choices):
+            final = store.clock.now()
+            for scope in (
+                TimeScope.current(),
+                TimeScope.at(T0),
+                TimeScope.at(final),
+                TimeScope.between(T0, final + 1),
+            ):
+                batch_leg = read_surface(store, scope, EQUIV_SCANS, "FastLink")
+                engine.batch_enabled = False
+                row_leg = read_surface(store, scope, EQUIV_SCANS, "FastLink")
+                engine.batch_enabled = True
+                assert batch_leg == row_leg, (config, scope)
+            assert engine._csr is not None
+
+
 PIN_QUERY = (
     "Select source(P).name, target(P).name "
     "From PATHS P Where P MATCHES VFC()->VM()->Host()"
@@ -156,11 +190,8 @@ def test_pinned_snapshot_batch_reads_ignore_later_writes():
     assert engine_of(dbs["batch"].store).batch_enabled
     assert not engine_of(dbs["row"].store).batch_enabled
 
-    # Warm (two runs) so the batch leg's CSR exists before pinning.
-    before = {}
-    for leg, db in dbs.items():
-        db.query(PIN_QUERY)
-        before[leg] = ordered_rows(db.query(PIN_QUERY))
+    # The first run builds the batch leg's CSR before pinning.
+    before = {leg: ordered_rows(db.query(PIN_QUERY)) for leg, db in dbs.items()}
     assert before["batch"] == before["row"]
     assert before["batch"]  # the fixed topology does produce pathways
 
@@ -176,10 +207,9 @@ def test_pinned_snapshot_batch_reads_ignore_later_writes():
         db.store.clock.advance(10)
 
     try:
-        for _ in range(2):  # second pass runs on the rebuilt CSR
-            pinned = {leg: ordered_rows(snap.query(PIN_QUERY)) for leg, snap in snaps.items()}
-            assert pinned["batch"] == pinned["row"]
-            assert pinned["batch"] == before["batch"]
+        pinned = {leg: ordered_rows(snap.query(PIN_QUERY)) for leg, snap in snaps.items()}
+        assert pinned["batch"] == pinned["row"]
+        assert pinned["batch"] == before["batch"]
         # Direct pinned point reads agree too, record for record.
         uids = dbs["batch"].store.known_uids()
         assert uids == dbs["row"].store.known_uids()
@@ -194,6 +224,95 @@ def test_pinned_snapshot_batch_reads_ignore_later_writes():
         assert live["batch"] != before["batch"]
     finally:
         for snap in snaps.values():
+            snap.close()
+
+
+def churn_round(db, inv, placement: dict[int, int], i: int) -> None:
+    """One deterministic write round: a status flip and a VM migration
+    (delete its OnServer edge, insert one to the other host)."""
+    vm = (inv.vm1, inv.vm2)[i % 2]
+    db.store.clock.advance(1)
+    db.update(vm, {"status": ("Red", "Green")[i % 2]})
+    host = inv.host1 if placement[vm] == inv.host2 else inv.host2
+    db.delete(placement.pop(("edge", vm)))
+    placement[("edge", vm)] = db.insert_edge("OnServer", vm, host)
+    placement[vm] = host
+
+
+CHURN_ROUNDS = 40
+
+
+def test_pinned_snapshots_hold_while_a_writer_churns():
+    """A writer thread churns the batch database while two reader threads
+    query pinned snapshots (and the live store): every pinned answer stays
+    the pre-churn one, no write rebuilds the CSR, and after the churn the
+    live answers match the row engine given the same writes."""
+    schema = build_network_schema()
+    dbs, invs, placements = {}, {}, {}
+    for leg, enabled in (("batch", True), ("row", False)):
+        db = NepalDB(
+            schema=schema,
+            clock=TransactionClock(start=T0),
+            planner_options=PlannerOptions(batch_enabled=enabled),
+        )
+        inv = invs[leg] = SmallInventory(db.store)
+        placements[leg] = {
+            inv.vm1: inv.host1, ("edge", inv.vm1): inv.e_vm1_host1,
+            inv.vm2: inv.host2, ("edge", inv.vm2): inv.e_vm2_host2,
+        }
+        dbs[leg] = db
+    before = {leg: ordered_rows(db.query(PIN_QUERY)) for leg, db in dbs.items()}
+    assert before["batch"] == before["row"]
+    builds = dbs["batch"].metrics.event_count("executor.batch.csr_build")
+    assert builds == 1
+
+    # Pins for the two readers, and one on the row leg so both legs'
+    # writes are stamped past an open pin alike.
+    reader_snaps = [dbs["batch"].snapshot() for _ in range(2)]
+    row_snap = dbs["row"].snapshot()
+    done = threading.Event()
+    errors: list[object] = []
+    reads = [0, 0]
+
+    def writer() -> None:
+        try:
+            for i in range(CHURN_ROUNDS):
+                churn_round(dbs["batch"], invs["batch"], placements["batch"], i)
+        except Exception as error:  # pragma: no cover - reported below
+            errors.append(error)
+        finally:
+            done.set()
+
+    def reader(k: int) -> None:
+        try:
+            while not done.is_set() or reads[k] < 3:
+                got = ordered_rows(reader_snaps[k].query(PIN_QUERY))
+                if got != before["batch"]:
+                    errors.append((k, got))
+                dbs["batch"].query(PIN_QUERY)
+                reads[k] += 1
+        except Exception as error:  # pragma: no cover - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader, args=(k,)) for k in range(2)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        for i in range(CHURN_ROUNDS):
+            churn_round(dbs["row"], invs["row"], placements["row"], i)
+        assert ordered_rows(row_snap.query(PIN_QUERY)) == before["row"]
+        live = {leg: ordered_rows(db.query(PIN_QUERY)) for leg, db in dbs.items()}
+        assert live["batch"] == live["row"]
+        assert dbs["batch"].metrics.event_count("executor.batch.csr_build") == builds
+        assert dbs["batch"].metrics.event_count("executor.batch.csr_patch") > 0
+    finally:
+        for snap in reader_snaps + [row_snap]:
             snap.close()
 
 
