@@ -7,7 +7,7 @@
 SHELL := bash
 .SHELLFLAGS := -eu -o pipefail -c
 
-.PHONY: install test lint coverage ci stress bench bench-smoke observability replication sweep examples all
+.PHONY: install test lint coverage ci stress bench bench-smoke perfbench-check observability replication sweep examples all
 
 # Minimum line coverage enforced by `make coverage` and the CI test job.
 COVERAGE_FLOOR ?= 80
@@ -42,6 +42,15 @@ coverage:
 
 # Mirror of .github/workflows/ci.yml: lint, the tier-1 suite, coverage.
 ci: lint test coverage
+
+# The end-to-end benchmark's own tests, then a short legacy-timetravel
+# run: its answers are checked against a row-path twin at current, AT and
+# range scopes, and the last output line must report "correct": true
+# (mirrors the CI test job's perfbench step).
+perfbench-check:
+	python3 -m pytest perfbench/tests -q
+	python3 perfbench/run.py --workload legacy-timetravel --seed 1 --seconds 2 \
+		| tee /dev/stderr | tail -n 1 | grep -q '"correct": true'
 
 # The concurrency suite CI repeats 20x under pytest-timeout.  Locally the
 # timeout/repeat plugins are optional; this runs the suite once, plain.

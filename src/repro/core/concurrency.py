@@ -288,8 +288,8 @@ class SnapshotStore(GraphStore):
         raise self._reject_write()
 
     def __getattr__(self, name: str) -> Any:
-        # Read-only extras (temporal_index_enabled, degree, ...) fall
-        # through to the wrapped store.
+        # Read-only extras (batch_enabled, degree, ...) fall through to
+        # the wrapped store.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._inner, name)

@@ -666,7 +666,7 @@ class NepalDB:
 
         A superset of :meth:`cache_stats` for observability tooling; the
         ``events`` map carries the index and join counters of the hot
-        path (``index.temporal.*`` hits on historical scans,
+        path (``index.temporal.*`` anchor decisions on historical scans,
         ``executor.join.*`` hash-join vs nested-loop decisions) next to
         the resilience and cache counters.
         """

@@ -2,14 +2,16 @@
 
 These replace the row-at-a-time inner loops of the read hot path:
 
-* :func:`batch_scan_atom` — anchor scans that sweep the per-class
-  columns of a CSR snapshot.  Current-scope scans walk the uid-sorted
-  member columns directly (no set copies, no sort); historical scans run
-  the vectorized temporal-visibility filter — two bisects per column
-  instead of an ``Interval`` call per version — then pick each element's
-  representative with late materialization: records are only touched for
-  versions that survived the visibility filter, and predicates only run
-  on the newest-first candidates per uid.
+* :func:`batch_scan_atom` — anchor scans that sweep the class- or
+  value-keyed columns of a CSR snapshot.  Current-scope scans walk the
+  uid-sorted member columns directly (no set copies, no sort); historical
+  scans run the vectorized temporal-visibility filter — two bisects per
+  column instead of an ``Interval`` call per version — then pick each
+  element's representative with late materialization: records are only
+  touched for versions that survived the visibility filter, and
+  predicates only run on the newest-first candidates per uid.
+* :func:`batch_class_count` — historical class cardinalities for anchor
+  costing, from the same columns.
 * :func:`batch_expand_many` — wave-at-a-time frontier expansion walking
   CSR ``(lo, hi)`` offset ranges per (node, edge class) instead of
   re-resolving adjacency dicts per element.
@@ -23,15 +25,16 @@ results (same records, same order) — the Hypothesis differential in
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Sequence
 
 from repro.model.elements import EdgeRecord, ElementRecord
+from repro.schema.classes import field_value_key
 from repro.storage.base import TimeScope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rpe.ast import Atom
-    from repro.storage.memgraph.csr import CsrSnapshot
+    from repro.storage.memgraph.csr import ClassColumns, CsrSnapshot
     from repro.storage.memgraph.store import MemGraphStore
 
 
@@ -40,27 +43,11 @@ def _window(scope: TimeScope) -> tuple[float, float]:
     return window.start, window.end
 
 
-def _current_representatives(
-    csr: "CsrSnapshot", uids: Sequence[int], atom: "Atom"
-) -> list[ElementRecord]:
-    """Row-identical representatives for a sorted current-scope uid batch."""
-    dense_of = csr.dense_of
-    current = csr.current_records
-    results: list[ElementRecord] = []
-    for uid in uids:
-        dense = dense_of.get(uid)
-        if dense is None:
-            continue
-        record = current[dense]
-        if record is not None and atom.matches(record):
-            results.append(record)
-    return results
-
-
 def _chain_representatives(
     csr: "CsrSnapshot", uids: Sequence[int], atom: "Atom", a: float, b: float
 ) -> list[ElementRecord]:
-    """Representatives for a sorted historical uid batch via chain bisects."""
+    """Representatives for a sorted historical uid batch via chain bisects:
+    per uid, the newest version visible in ``[a, b)`` that satisfies *atom*."""
     dense_of = csr.dense_of
     records = csr.chain_records
     results: list[ElementRecord] = []
@@ -77,66 +64,108 @@ def _chain_representatives(
     return results
 
 
+def _point_scan(
+    csr: "CsrSnapshot", uid: int, atom: "Atom", scope: TimeScope
+) -> list[ElementRecord]:
+    """A uid-equality anchor: one chain probe, with the row path's
+    subclass check (an element's class never changes)."""
+    dense = csr.dense_of.get(uid)
+    if dense is None:
+        return []
+    if scope.is_current:
+        record = csr.current_records[dense]
+        candidates = [] if record is None else [record]
+    else:
+        lo, hi = csr.chain_run(dense, *_window(scope))
+        candidates = csr.chain_records[lo:hi][::-1]
+    for record in candidates:
+        if not record.cls.is_subclass_of(atom.cls):
+            return []
+        if atom.matches(record):
+            return [record]
+    return []
+
+
+def _value_columns(
+    csr: "CsrSnapshot", atom: "Atom", class_names: Sequence[str]
+) -> list["ClassColumns"] | None:
+    """The value-keyed columns of *atom*'s most selective indexed equality,
+    or ``None`` when no equality names an indexed field.
+
+    Every predicate an element must satisfy is satisfied by *some* visible
+    version of it, so any one indexed equality yields a superset of the
+    answer's uids; the smallest column set is the cheapest superset.
+    """
+    best: list[ClassColumns] | None = None
+    best_size = 0
+    for predicate in atom.predicates:
+        if predicate.op != "=" or predicate.name not in csr.indexed_fields:
+            continue
+        key = field_value_key(predicate.value)
+        columns = csr.columns_of((name, predicate.name, key) for name in class_names)
+        size = sum(cols.size() for cols in columns)
+        if best is None or size < best_size:
+            best, best_size = columns, size
+    return best
+
+
+def _current_scan(
+    columns: list["ClassColumns"], atom: "Atom", trivial: bool
+) -> list[ElementRecord]:
+    """Current members of *columns*, uid-ascending, that satisfy *atom*."""
+    present = [cols for cols in columns if cols.current_uids]
+    if len(present) == 1:
+        # A single member column is already uid-ascending.
+        if trivial:
+            return list(present[0].current_records)
+        return [r for r in present[0].current_records if atom.matches(r)]
+    pairs: list[tuple[int, ElementRecord]] = []
+    for cols in present:
+        pairs.extend(zip(cols.current_uids, cols.current_records))
+    pairs.sort(key=lambda pair: pair[0])
+    if trivial:
+        return [record for _, record in pairs]
+    return [record for _, record in pairs if atom.matches(record)]
+
+
 def batch_scan_atom(
     store: "MemGraphStore",
     csr: "CsrSnapshot",
     atom: "Atom",
     class_names: Sequence[str],
     scope: TimeScope,
-) -> list[ElementRecord] | None:
-    """Columnar ``scan_atom``; ``None`` defers to the row path.
+) -> list[ElementRecord]:
+    """Columnar ``scan_atom`` at every scope.
 
-    Fires the same ``index.*`` events as the row path so EXPLAIN ANALYZE
-    counters and index-usage tests read identically under the ablation
-    switch.  Uid-equality atoms stay on the row path — a single point
-    lookup has nothing to batch.
+    A uid equality is one chain probe; an equality on an indexed field
+    sweeps that value's columns; every other anchor sweeps its class
+    columns.  Fires the same ``index.*`` events as the row path, so
+    EXPLAIN ANALYZE counters read identically under the ablation switch.
     """
-    if atom.equality_value("id") is not None:
-        return None
+    uid = atom.equality_value("id")
+    if uid is not None:
+        return _point_scan(csr, int(uid), atom, scope)
 
-    # Columns are already restricted to the atom's concrete class subtree,
-    # so a predicate-free atom matches every record they hold: the batch
-    # can skip the per-record ``atom.matches`` call entirely.
-    trivial = not atom.predicates
+    current = scope.is_current
+    value_columns = _value_columns(csr, atom, class_names)
+    if value_columns is None:
+        store._event("index.class.hit" if current else "index.temporal.class_hit")
+        columns = csr.columns_of(class_names)
+    else:
+        store._event("index.field.hit" if current else "index.temporal.field_hit")
+        columns = value_columns
+    # Class columns are already restricted to the atom's concrete class
+    # subtree, so a predicate-free atom matches every record they hold: the
+    # batch can skip the per-record ``atom.matches`` call entirely.
+    trivial = value_columns is None and not atom.predicates
 
-    if scope.is_current:
-        candidates = store._indexed_equalities(atom, class_names, scope, temporal=False)
-        if candidates is not None:
-            store._event("index.field.hit")
-            return _current_representatives(csr, sorted(candidates), atom)
-        store._event("index.class.hit")
-        columns = csr.class_columns
-        present = [
-            cols
-            for cols in (columns.get(name) for name in class_names)
-            if cols is not None and cols.current_uids
-        ]
-        if len(present) == 1:
-            # A single member column is already uid-ascending.
-            if trivial:
-                return list(present[0].current_records)
-            return [r for r in present[0].current_records if atom.matches(r)]
-        pairs: list[tuple[int, ElementRecord]] = []
-        for cols in present:
-            pairs.extend(zip(cols.current_uids, cols.current_records))
-        pairs.sort(key=lambda pair: pair[0])
-        if trivial:
-            return [record for _, record in pairs]
-        return [record for _, record in pairs if atom.matches(record)]
+    if current:
+        return _current_scan(columns, atom, trivial)
 
     a, b = _window(scope)
-    candidates = store._indexed_equalities(atom, class_names, scope, temporal=True)
-    if candidates is not None:
-        store._event("index.temporal.field_hit")
-        store._event("index.temporal.candidates", len(candidates))
-        return _chain_representatives(csr, sorted(candidates), atom, a, b)
-
-    store._event("index.temporal.class_hit")
     rows: list[tuple[int, float, ElementRecord]] = []
-    for name in class_names:
-        cols = csr.class_columns.get(name)
-        if cols is not None:
-            cols.visible_rows(a, b, rows)
+    for cols in columns:
+        cols.visible_rows(a, b, rows)
     if trivial:
         # Newest visible version per uid, one dict pass — no sort needed
         # (starts never repeat within a chain, so "max start" is exact).
@@ -147,26 +176,39 @@ def batch_scan_atom(
                 best[uid] = (start, record)
         store._event("index.temporal.candidates", len(best))
         return [best[uid][1] for uid in sorted(best)]
-    store._event("index.temporal.candidates", len({row[0] for row in rows}))
-    # Chains never repeat a start, so (uid, start) orders each element's
-    # visible versions chronologically; the representative is the newest
-    # version in its group that satisfies the atom.
-    rows.sort(key=lambda row: (row[0], row[1]))
-    results = []
-    i = 0
-    n = len(rows)
-    while i < n:
-        uid = rows[i][0]
-        j = i
-        while j < n and rows[j][0] == uid:
-            j += 1
-        for k in range(j - 1, i - 1, -1):
-            record = rows[k][2]
-            if atom.matches(record):
-                results.append(record)
-                break
-        i = j
-    return results
+    candidates = sorted({row[0] for row in rows})
+    store._event("index.temporal.candidates", len(candidates))
+    return _chain_representatives(csr, candidates, atom, a, b)
+
+
+def batch_class_count(
+    csr: "CsrSnapshot", class_names: Sequence[str], scope: TimeScope
+) -> int:
+    """Elements of *class_names* with a version visible under a historical
+    *scope*.
+
+    Under ``AT t`` an element has at most one visible version (its chain's
+    periods are disjoint), so the count is an open-column bisect plus the
+    closed-column tail; a range counts distinct uids.
+    """
+    a, b = _window(scope)
+    instant = scope.kind == TimeScope.AT
+    total = 0
+    uids: set[int] = set()
+    for cols in csr.columns_of(class_names):
+        opened = bisect_left(cols.open_starts, b)
+        starts, closed_uids = cols.closed_starts, cols.closed_uids
+        tail = [
+            closed_uids[i]
+            for i in range(bisect_right(cols.closed_ends, a), len(starts))
+            if starts[i] < b
+        ]
+        if instant:
+            total += opened + len(tail)
+        else:
+            uids.update(cols.open_uids[:opened])
+            uids.update(tail)
+    return total if instant else len(uids)
 
 
 def _segment_ranges(

@@ -50,8 +50,9 @@ class PlannerOptions:
     batch_enabled: bool = True
     """Ablation switch for the vectorized execution layer.  ``NepalDB``
     propagates it onto every attached store that has a batch engine; with
-    it off, operators run their row-at-a-time twins.  Stores expose the
-    same flag for per-test toggling (mirroring ``temporal_index_enabled``)."""
+    it off, operators run their row-at-a-time twins, the test oracle
+    (historical anchors become the brute-force scan).  Stores expose the
+    same flag for per-test toggling."""
 
 
 class Planner:

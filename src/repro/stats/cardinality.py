@@ -28,6 +28,11 @@ def _scope_key(scope: "TimeScope | None") -> tuple | None:
     return (scope.kind, scope.start, scope.end)
 
 
+#: Cached (class, scope) counts per estimator.  Keys carry exact ``AT``
+#: timestamps, so a read-only server would otherwise keep one entry per
+#: distinct timestamp its clients ever send.
+CLASS_COUNT_CACHE_SIZE = 512
+
 _DEFAULT_CLASS_COUNT = 1000.0
 _EQ_NAME_SELECTIVITY = 1e-6  # names are near-unique in inventories
 _EQ_SELECTIVITY = 0.1
@@ -48,8 +53,10 @@ class CardinalityEstimator:
     """
 
     def __init__(self, store: "GraphStore | None" = None):
+        from repro.plan.cache import LruCache  # repro.plan imports this module
+
         self._store = store
-        self._class_count_cache: dict[tuple[str, tuple | None], float] = {}
+        self._class_count_cache = LruCache(CLASS_COUNT_CACHE_SIZE)
         self._epoch = 0
         self._seen_data_version = store.data_version if store is not None else 0
 
@@ -86,8 +93,8 @@ class CardinalityEstimator:
                 count = float(self._store.class_count(cls.name))
             else:
                 # Historical anchors are costed with what existed *then*;
-                # backends without a temporal index answer None and fall
-                # through to the current count.  An indexed answer is exact
+                # backends without temporal counts answer None and fall
+                # through to the current count.  A temporal count is exact
                 # even when zero — "nothing existed" is real information,
                 # not missing statistics.
                 historical = self._store.class_count_at(cls.name, scope)
@@ -106,7 +113,7 @@ class CardinalityEstimator:
                 count = max(sum(hints), count or 0.0)
         if count is None or (count == 0.0 and not exact):
             count = _DEFAULT_CLASS_COUNT
-        self._class_count_cache[cache_key] = count
+        self._class_count_cache.put(cache_key, count)
         return count
 
     def estimate(self, atom: Atom, scope: "TimeScope | None" = None) -> float:

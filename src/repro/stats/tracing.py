@@ -7,7 +7,8 @@ every executor operator (anchor scans, joins with their strategy and
 rows in/out, EXISTS filters, projection), and — through the
 :class:`~repro.stats.metrics.MetricsRegistry` event mirror — the storage
 and resilience counters that fired while each span was open
-(``index.temporal.*`` index-vs-brute decisions, ``index.expand.*`` batched
+(``index.temporal.*`` historical anchor decisions — class or value
+columns, or the row path's brute scan — ``index.expand.*`` batched
 expansions, ``resilience.retry.*`` / ``resilience.breaker_trip.*``).
 
 Design constraints:

@@ -27,7 +27,11 @@ A :class:`CsrSnapshot` holds:
   and the full version set split into (start, uid)-sorted *open* and
   end-sorted *closed* columns (the vectorized temporal-visibility
   filter bisects these instead of calling ``Interval.contains`` per
-  element).
+  element).  The same columns are also kept per
+  ``(class, field, field_value_key(value))`` for the store's indexed
+  fields, holding only the versions that carried that value, so an
+  equality anchor at any scope sweeps just its value's versions.  These
+  columns are the store's only index of temporal visibility.
 * **adjacency CSR**: forward and reverse adjacency flattened into a
   dense-edge-id column with per-node, per-edge-class ``(lo, hi)``
   segments, preserving exactly the ordering contract of
@@ -51,16 +55,35 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.model.elements import EdgeRecord, ElementRecord
+from repro.schema.classes import field_value_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.memgraph.store import MemGraphStore
 
 
+#: A column key: a class name, or ``(class, field, value key)``.
+ColumnKey = str | tuple[str, str, object]
+
+
+def column_keys(record: ElementRecord, indexed_fields: tuple[str, ...]) -> list[ColumnKey]:
+    """The keys of every column holding *record*: its class name, then one
+    ``(class, field, value key)`` per indexed field it carries."""
+    name = record.cls.name
+    fields = record.fields
+    keys: list[ColumnKey] = [name]
+    for field_name in indexed_fields:
+        value = fields.get(field_name)
+        if value is not None:
+            keys.append((name, field_name, field_value_key(value)))
+    return keys
+
+
 class ClassColumns:
-    """Per-class version columns powering batched anchor scans."""
+    """The version columns of one class, or of one indexed field value of
+    one class, powering batched anchor scans and historical counts."""
 
     __slots__ = (
         "current_uids",
@@ -89,6 +112,10 @@ class ClassColumns:
         self.closed_starts: list[float] = []
         self.closed_uids: list[int] = []
         self.closed_records: list[ElementRecord] = []
+
+    def size(self) -> int:
+        """Versions held, open and closed."""
+        return len(self.open_uids) + len(self.closed_uids)
 
     def visible_rows(
         self, a: float, b: float, rows: list[tuple[int, float, ElementRecord]]
@@ -160,6 +187,7 @@ class CsrSnapshot:
         "chain_starts",
         "chain_ends",
         "chain_records",
+        "indexed_fields",
         "class_columns",
         "out_segments",
         "out_edge_dense",
@@ -174,7 +202,7 @@ class CsrSnapshot:
         "dead",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, indexed_fields: tuple[str, ...] = ()) -> None:
         #: dense id -> uid; the inverse of :attr:`dense_of`.
         self.uids: array = array("q")
         self.dense_of: dict[int, int] = {}
@@ -191,7 +219,10 @@ class CsrSnapshot:
         self.chain_starts: array = array("d")
         self.chain_ends: array = array("d")
         self.chain_records: list[ElementRecord] = []
-        self.class_columns: dict[str, ClassColumns] = {}
+        #: Fields whose values key columns of their own.
+        self.indexed_fields = indexed_fields
+        #: Version columns by class name and by (class, field, value key).
+        self.class_columns: dict[ColumnKey, ClassColumns] = {}
         # Adjacency CSR: per dense node id, {edge class name: (lo, hi)}
         # segments into the flat dense-edge-id column.  Segment dict order
         # and in-segment order reproduce AdjacencyIndex.edges() exactly.
@@ -256,6 +287,11 @@ class CsrSnapshot:
             return None
         return self.current_records[dense]
 
+    def columns_of(self, keys: Iterable[ColumnKey]) -> list[ClassColumns]:
+        """The version columns present under *keys*."""
+        get = self.class_columns.get
+        return [columns for columns in map(get, keys) if columns is not None]
+
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -278,11 +314,14 @@ class CsrSnapshot:
     # in-place maintenance (callers hold the store's write lock)
     # ------------------------------------------------------------------
 
-    def _columns(self, class_name: str) -> ClassColumns:
-        columns = self.class_columns.get(class_name)
+    def _columns(self, key: ColumnKey) -> ClassColumns:
+        columns = self.class_columns.get(key)
         if columns is None:
-            columns = self.class_columns[class_name] = ClassColumns()
+            columns = self.class_columns[key] = ClassColumns()
         return columns
+
+    def _keys(self, record: ElementRecord) -> list[ColumnKey]:
+        return column_keys(record, self.indexed_fields)
 
     def admit(self, record: ElementRecord) -> None:
         """A new element, or a new version of a deleted one (revival)."""
@@ -307,7 +346,8 @@ class CsrSnapshot:
         else:
             self._set_current(dense, record, record)
         self._append_version(dense, record)
-        self._columns(record.cls.name).add_current(record)
+        for key in self._keys(record):
+            self._columns(key).add_current(record)
 
     def update(
         self,
@@ -318,28 +358,43 @@ class CsrSnapshot:
         """*previous* was superseded by *replacement*; *closed* is its closed
         history entry, or None when both opened at the same instant."""
         dense = self.dense_of[previous.uid]
-        columns = self._columns(previous.cls.name)
+        old_keys = self._keys(previous)
+        new_keys = self._keys(replacement)
         if closed is None:
             self.chain_records[self.chain_hi[dense] - 1] = replacement
-            columns.replace_current(previous, replacement)
+            for key in old_keys:
+                if key in new_keys:
+                    self._columns(key).replace_current(previous, replacement)
+                else:
+                    # A field value overwritten at the instant it was set
+                    # existed for zero duration: it is removed, never closed.
+                    self._columns(key).remove_current(previous)
+            for key in new_keys:
+                if key not in old_keys:
+                    self._columns(key).add_current(replacement)
         else:
             self._close_last(dense, closed)
             self._append_version(dense, replacement)
-            columns.remove_current(previous)
-            columns.add_current(replacement)
-            columns.add_closed(closed)
+            for key in old_keys:
+                columns = self._columns(key)
+                columns.remove_current(previous)
+                columns.add_closed(closed)
+            for key in new_keys:
+                self._columns(key).add_current(replacement)
         self._set_current(dense, previous, replacement)
 
     def delete(self, previous: ElementRecord, closed: ElementRecord | None) -> None:
         """*previous* stopped being current; *closed* as in :meth:`update`."""
         dense = self.dense_of[previous.uid]
-        columns = self._columns(previous.cls.name)
         if closed is None:
             self._drop_last(dense)
         else:
             self._close_last(dense, closed)
-            columns.add_closed(closed)
-        columns.remove_current(previous)
+        for key in self._keys(previous):
+            columns = self._columns(key)
+            if closed is not None:
+                columns.add_closed(closed)
+            columns.remove_current(previous)
         self._set_current(dense, previous, None)
 
     def _append_version(self, dense: int, record: ElementRecord) -> None:
@@ -471,7 +526,8 @@ def build_csr(store: "MemGraphStore") -> CsrSnapshot:
     Must run under the store's read or write lock; the snapshot only
     aliases immutable records, never live containers.
     """
-    snapshot = CsrSnapshot()
+    indexed_fields = store._field_index.indexed_fields
+    snapshot = CsrSnapshot(indexed_fields)
     current = store._current
     history = store._history
     class_of = store._class_of
@@ -482,9 +538,9 @@ def build_csr(store: "MemGraphStore") -> CsrSnapshot:
         uids.append(uid)
         dense_of[uid] = dense
 
-    per_class: dict[str, ClassColumns] = snapshot.class_columns
-    opens: dict[str, list[tuple[float, int, ElementRecord]]] = {}
-    closeds: dict[str, list[tuple[float, float, int, ElementRecord]]] = {}
+    per_key = snapshot.class_columns
+    opens: dict[ColumnKey, list[tuple[float, int, ElementRecord]]] = {}
+    closeds: dict[ColumnKey, list[tuple[float, float, int, ElementRecord]]] = {}
 
     chain_lo = snapshot.chain_lo
     chain_hi = snapshot.chain_hi
@@ -492,43 +548,46 @@ def build_csr(store: "MemGraphStore") -> CsrSnapshot:
     chain_ends = snapshot.chain_ends
     chain_records = snapshot.chain_records
     for uid in uids:
-        cls_name = class_of[uid].name
-        snapshot.element_class_ids.append(_intern_class(snapshot, cls_name))
+        snapshot.element_class_ids.append(_intern_class(snapshot, class_of[uid].name))
         chain_lo.append(len(chain_records))
-        closed_rows = closeds.setdefault(cls_name, [])
         for version in history.get(uid, ()):
-            chain_starts.append(version.period.start)
-            chain_ends.append(version.period.end)
+            period = version.period
+            chain_starts.append(period.start)
+            chain_ends.append(period.end)
             chain_records.append(version)
-            closed_rows.append((version.period.end, version.period.start, uid, version))
+            row = (period.end, period.start, uid, version)
+            for key in column_keys(version, indexed_fields):
+                closeds.setdefault(key, []).append(row)
         record = current.get(uid)
         snapshot.current_records.append(record)
         if record is not None:
-            chain_starts.append(record.period.start)
+            start = record.period.start
+            chain_starts.append(start)
             chain_ends.append(record.period.end)
             chain_records.append(record)
-            opens.setdefault(cls_name, []).append((record.period.start, uid, record))
-            columns = per_class.get(cls_name)
-            if columns is None:
-                columns = per_class[cls_name] = ClassColumns()
-            # uid-ascending because the enclosing loop is.
-            columns.current_uids.append(uid)
-            columns.current_records.append(record)
+            for key in column_keys(record, indexed_fields):
+                opens.setdefault(key, []).append((start, uid, record))
+                columns = per_key.get(key)
+                if columns is None:
+                    columns = per_key[key] = ClassColumns()
+                # uid-ascending because the enclosing loop is.
+                columns.current_uids.append(uid)
+                columns.current_records.append(record)
         chain_hi.append(len(chain_records))
 
-    for cls_name, rows in opens.items():
+    for key, rows in opens.items():
         # Stable on the uid-ascending rows: (start, uid) order.
         rows.sort(key=lambda row: row[0])
-        columns = per_class.setdefault(cls_name, ClassColumns())
+        columns = per_key[key]
         for start, uid, record in rows:
             columns.open_starts.append(start)
             columns.open_uids.append(uid)
             columns.open_records.append(record)
-    for cls_name, crows in closeds.items():
-        if not crows:
-            continue
+    for key, crows in closeds.items():
         crows.sort(key=lambda row: (row[0], row[1]))
-        columns = per_class.setdefault(cls_name, ClassColumns())
+        columns = per_key.get(key)
+        if columns is None:
+            columns = per_key[key] = ClassColumns()
         for end, start, uid, record in crows:
             columns.closed_ends.append(end)
             columns.closed_starts.append(start)

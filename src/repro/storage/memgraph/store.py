@@ -28,7 +28,6 @@ from repro.schema.validate import validate_edge_endpoints, validate_fields
 from repro.storage.base import GraphStore, TimeScope
 from repro.storage.memgraph.csr import CsrSnapshot, build_csr
 from repro.storage.memgraph.indexes import AdjacencyIndex, ClassIndex, FieldEqualityIndex
-from repro.storage.memgraph.temporal_index import TemporalClassIndex, TemporalFieldIndex
 from repro.temporal.clock import TransactionClock
 from repro.temporal.interval import FOREVER, Interval
 from repro.util.ids import IdAllocator
@@ -89,24 +88,18 @@ class MemGraphStore(GraphStore):
         self._class_of: dict[int, ElementClass] = {}
         self._class_index = ClassIndex()
         self._field_index = FieldEqualityIndex(indexed_fields)
-        self._temporal_class = TemporalClassIndex()
-        self._temporal_field = TemporalFieldIndex(indexed_fields)
         self._out = AdjacencyIndex()
         self._in = AdjacencyIndex()
         self._metrics = metrics
         self.rwlock = ReadWriteLock()
-        #: Ablation / oracle switch: with the temporal indexes disabled,
-        #: historical anchors fall back to the brute-force scan over every
-        #: uid ever admitted.  The indexes are still *maintained* while
-        #: disabled, so the switch can be flipped freely mid-test.
-        self.temporal_index_enabled = True
-        #: Ablation switch for the vectorized execution layer: with it off
-        #: every read runs the row-at-a-time oracle path.  Batch scans also
-        #: require ``temporal_index_enabled`` so the temporal ablation keeps
-        #: comparing against the genuine brute-force scan.
+        #: Ablation / oracle switch for the vectorized execution layer:
+        #: with it off every read runs the row-at-a-time path, whose
+        #: historical anchors are the brute-force scan over every uid ever
+        #: admitted.
         self.batch_enabled = True
-        #: The batch engine's column layout: built on the first batch read,
-        #: then patched by every write (see :meth:`_csr_snapshot`).
+        #: The batch engine's column layout and the store's only index of
+        #: temporal visibility: built on the first read that needs it, then
+        #: patched by every write (see :meth:`_csr_snapshot`).
         self._csr: CsrSnapshot | None = None
         self._csr_lock = threading.Lock()
 
@@ -213,10 +206,6 @@ class MemGraphStore(GraphStore):
         self._class_of[record.uid] = record.cls
         self._class_index.add(record.cls.name, record.uid)
         self._field_index.add(record.cls.name, record.uid, dict(record.fields))
-        cls_name = record.cls.name
-        start = record.period.start
-        self._temporal_class.open(cls_name, record.uid, start)
-        self._temporal_field.open(cls_name, record.uid, start, dict(record.fields))
         csr = self._csr
         if csr is not None:
             csr.admit(record)
@@ -245,26 +234,16 @@ class MemGraphStore(GraphStore):
         normalized = validate_fields(current.cls, merged)
         now = self.clock.now()
         cls_name = current.cls.name
-        old_fields = dict(current.fields)
-        self._field_index.discard(cls_name, uid, old_fields)
+        self._field_index.discard(cls_name, uid, dict(current.fields))
         closed = None
         if now > current.period.start:
             closed = current.with_period(Interval(current.period.start, now))
             self._history.setdefault(uid, []).append(closed)
-            # The superseded version keeps its period in the temporal
-            # indexes; the replacement opens a fresh posting at *now*.
-            self._temporal_class.close(cls_name, uid, now)
-            self._temporal_field.close(cls_name, uid, now, old_fields)
-            self._temporal_class.open(cls_name, uid, now)
-        else:
-            # The version opened at this same instant; overwrite in place.
-            # The class posting (same uid, same start) is untouched, but
-            # the zero-duration field values never existed.
-            self._temporal_field.drop_open(cls_name, uid, old_fields)
+        # Otherwise the version opened at this same instant: overwrite it
+        # in place (the replacement keeps its start).
         replacement = self._reopen(current, normalized, now)
         self._current[uid] = replacement
         self._field_index.add(cls_name, uid, normalized)
-        self._temporal_field.open(cls_name, uid, replacement.period.start, normalized)
         csr = self._csr
         if csr is not None:
             csr.update(current, closed, replacement)
@@ -295,20 +274,14 @@ class MemGraphStore(GraphStore):
                 if edge_uid in self._current:
                     self.delete_element(edge_uid)
         now = self.clock.now()
-        fields = dict(current.fields)
         closed = None
         if now > current.period.start:
             closed = current.with_period(Interval(current.period.start, now))
             self._history.setdefault(uid, []).append(closed)
-            self._temporal_class.close(current.cls.name, uid, now)
-            self._temporal_field.close(current.cls.name, uid, now, fields)
-        else:
-            # A version opened and deleted at the same instant never existed.
-            self._temporal_class.drop_open(current.cls.name, uid)
-            self._temporal_field.drop_open(current.cls.name, uid, fields)
+        # Otherwise the version opened at this same instant and never existed.
         del self._current[uid]
         self._class_index.discard(current.cls.name, uid)
-        self._field_index.discard(current.cls.name, uid, fields)
+        self._field_index.discard(current.cls.name, uid, dict(current.fields))
         csr = self._csr
         if csr is not None:
             csr.delete(current, closed)
@@ -347,7 +320,7 @@ class MemGraphStore(GraphStore):
     # ------------------------------------------------------------------
 
     def _csr_snapshot(self) -> CsrSnapshot:
-        """The store's columnar layout, built on the first batch read.
+        """The store's columnar layout, built on the first read that needs it.
 
         There is one CSR per store, kept valid across writes: each write
         method patches it in place under the write lock (O(chain + degree),
@@ -369,9 +342,6 @@ class MemGraphStore(GraphStore):
             self._csr = snapshot
         self._event("executor.batch.csr_build")
         return snapshot
-
-    def _batch_reads(self) -> bool:
-        return self.batch_enabled and self.temporal_index_enabled
 
     def _visible_versions(self, uid: int, scope: TimeScope) -> list[ElementRecord]:
         result: list[ElementRecord] = []
@@ -428,17 +398,13 @@ class MemGraphStore(GraphStore):
         if atom.cls is None:
             raise StorageError(f"atom {atom.class_name}() must be bound before scanning")
         class_names = self.schema.concrete_names(atom.cls)
-
-        # Batch scans additionally require the temporal ablation switch on,
-        # so flipping it off still compares against the true row oracle.
-        if self._batch_reads():
+        if self.batch_enabled:
             from repro.plan.batch import batch_scan_atom
 
             results = batch_scan_atom(self, self._csr_snapshot(), atom, class_names, scope)
-            if results is not None:
-                self._event("executor.batch.scan")
-                self._event("executor.batch.scan_rows", len(results))
-                return results
+            self._event("executor.batch.scan")
+            self._event("executor.batch.scan_rows", len(results))
+            return results
 
         candidate_uids = self._anchor_candidates(atom, class_names, scope)
         results: list[ElementRecord] = []
@@ -451,71 +417,43 @@ class MemGraphStore(GraphStore):
     def _anchor_candidates(
         self, atom: Atom, class_names: Sequence[str], scope: TimeScope
     ) -> set[int]:
+        """The row path's candidate uids: a superset of the scan's answer."""
         uid_value = atom.equality_value("id")
         if uid_value is not None:
             cls = self._class_of.get(int(uid_value))
             if cls is None or not cls.is_subclass_of(atom.cls):
                 return set()
             return {int(uid_value)}
-        if scope.is_current:
-            candidates = self._indexed_equalities(atom, class_names, scope, temporal=False)
-            if candidates is not None:
-                self._event("index.field.hit")
-                return candidates
-            self._event("index.class.hit")
-            total = len(self._current)
-            if total and self._class_index.count(class_names) >= total:
-                # Cost gate: the class subtree covers the whole live store
-                # (root scans like Element()), so copying and unioning the
-                # per-class index sets can only lose to snapshotting the
-                # live dict's keys directly.
-                self._event("index.class.live_scan")
-                return set(self._current)
-            return self._class_index.members(class_names)
-        if not self.temporal_index_enabled:
-            # Ablation / oracle path: the pre-index full-extent scan.
+        if not scope.is_current:
+            # The oracle for historical scans: every uid ever admitted.
             self._event("index.temporal.scan")
             names = set(class_names)
             return {uid for uid, cls in self._class_of.items() if cls.name in names}
-        candidates = self._indexed_equalities(atom, class_names, scope, temporal=True)
-        if candidates is not None:
-            self._event("index.temporal.field_hit")
-            self._event("index.temporal.candidates", len(candidates))
-            return candidates
-        candidates = self._temporal_class.lookup(class_names, scope)
-        self._event("index.temporal.class_hit")
-        self._event("index.temporal.candidates", len(candidates))
-        return candidates
-
-    def _indexed_equalities(
-        self, atom: Atom, class_names: Sequence[str], scope: TimeScope, temporal: bool
-    ) -> set[int] | None:
-        """Intersection of every indexed equality predicate of *atom*.
-
-        Every predicate an element must satisfy is satisfied by *some*
-        version of it, so each indexed lookup yields a superset of the
-        answer and the intersection is the tightest index-only candidate
-        set — equivalent to starting from the most selective predicate.
-        Returns ``None`` when no equality predicate is indexed.
-        """
+        # Intersect every indexed equality: each yields a superset of the
+        # answer, so the intersection is the tightest index-only one.
         candidates: set[int] | None = None
         for predicate in atom.predicates:
             if predicate.op != "=":
                 continue
-            if temporal:
-                indexed = self._temporal_field.lookup(
-                    class_names, predicate.name, predicate.value, scope
-                )
-            else:
-                indexed = self._field_index.lookup(
-                    class_names, predicate.name, predicate.value
-                )
+            indexed = self._field_index.lookup(class_names, predicate.name, predicate.value)
             if indexed is None:
                 continue
             candidates = indexed if candidates is None else candidates & indexed
             if not candidates:
                 break
-        return candidates
+        if candidates is not None:
+            self._event("index.field.hit")
+            return candidates
+        self._event("index.class.hit")
+        total = len(self._current)
+        if total and self._class_index.count(class_names) >= total:
+            # Cost gate: the class subtree covers the whole live store
+            # (root scans like Element()), so copying and unioning the
+            # per-class index sets can only lose to snapshotting the
+            # live dict's keys directly.
+            self._event("index.class.live_scan")
+            return set(self._current)
+        return self._class_index.members(class_names)
 
     def _edge_class_names(
         self, classes: Sequence[EdgeClass] | None
@@ -608,17 +546,21 @@ class MemGraphStore(GraphStore):
 
     @_read_op
     def class_count_at(self, class_name: str, scope: TimeScope) -> int | None:
-        """Scope-aware class cardinality, served by the temporal index.
+        """Scope-aware class cardinality, counted on the CSR's class columns.
 
         Historical anchor costing uses this so churned inventories are
-        costed with what existed *then*, not what exists now.
+        costed with what existed *then*, not what exists now.  Counts steer
+        plan choice only, so the row path shares them and the ablation
+        compares the engines under identical plans.
         """
         if scope.is_current:
             return self.class_count(class_name)
-        if not self.temporal_index_enabled:
-            return None
+        from repro.plan.batch import batch_class_count
+
         cls = self.schema.resolve(class_name)
-        return self._temporal_class.count(self.schema.concrete_names(cls), scope)
+        return batch_class_count(
+            self._csr_snapshot(), self.schema.concrete_names(cls), scope
+        )
 
     @_read_op
     def counts(self) -> dict[str, int]:
@@ -670,32 +612,3 @@ class MemGraphStore(GraphStore):
     def degree(self, node_uid: int) -> tuple[int, int]:
         """Structural (out, in) degree — includes historical edges."""
         return self._out.degree(node_uid), self._in.degree(node_uid)
-
-    @_read_op
-    def temporal_posting_count(self, class_name: str) -> int:
-        """Version postings the temporal class index holds for one class."""
-        return self._temporal_class.postings_count(class_name)
-
-    @_write_op
-    def rebuild_temporal_indexes(self) -> None:
-        """Recreate the temporal indexes from the version chains.
-
-        Incremental maintenance must be equivalent to this full rebuild;
-        the differential tests flip between them to prove it.  Rebuilding
-        inserts closed postings in per-uid (not global end) order, which
-        also exercises the postings' lazy re-sort guard.
-        """
-        self._temporal_class = TemporalClassIndex()
-        self._temporal_field = TemporalFieldIndex(self._field_index.indexed_fields)
-        for uid, cls in self._class_of.items():
-            for version in self._history.get(uid, ()):
-                fields = dict(version.fields)
-                self._temporal_class.open(cls.name, uid, version.period.start)
-                self._temporal_class.close(cls.name, uid, version.period.end)
-                self._temporal_field.open(cls.name, uid, version.period.start, fields)
-                self._temporal_field.close(cls.name, uid, version.period.end, fields)
-            current = self._current.get(uid)
-            if current is not None:
-                start = current.period.start
-                self._temporal_class.open(cls.name, uid, start)
-                self._temporal_field.open(cls.name, uid, start, dict(current.fields))

@@ -1,14 +1,16 @@
 """Time-travel differential suite over the paper-query corpus.
 
 The churned virtualized-service topology is loaded into every backend
-configuration (memory with temporal indexes, relational without, each
-wrapped in a zero-fault chaos store), then the corpus runs under
+configuration (memory served from its CSR columns, relational from SQL,
+each wrapped in a zero-fault chaos store), then the corpus runs under
 historical scopes — timeslices before, during and after the churn window
 plus a spanning range — and every configuration must produce identical
-normalized rows.  The relational backend has no temporal index at all,
-so agreement here is an end-to-end oracle for the indexed hot path; the
-in-memory database additionally answers against its own brute-force
-ablation and after a recovery round-trip through WAL + checkpoint.
+normalized rows.  The relational backend shares no index code with the
+in-memory one, so agreement here is an end-to-end oracle for the columnar
+hot path; the in-memory database additionally answers against its own
+row path (``batch_enabled`` off, whose historical anchors are the
+brute-force scan) and after a recovery round-trip through WAL +
+checkpoint.
 """
 
 from __future__ import annotations
@@ -89,13 +91,13 @@ def test_indexed_memory_backend_agrees_with_its_own_ablation(churned_matrix):
     db = dbs["memory"]
     store = db.store
     for query in queries:
-        store.temporal_index_enabled = True
+        store.batch_enabled = True
         indexed = normalized_rows(db.query(query))
-        store.temporal_index_enabled = False
+        store.batch_enabled = False
         try:
             brute = normalized_rows(db.query(query))
         finally:
-            store.temporal_index_enabled = True
+            store.batch_enabled = True
         assert indexed == brute, query
 
 
@@ -135,22 +137,24 @@ def test_recovered_store_answers_history_through_rebuilt_indexes(
     recovered = NepalDB(clock=TransactionClock(start=T0), data_dir=str(data_dir))
     try:
         inner = recovered.store.inner
-        assert inner.temporal_posting_count("Host") > 0
         for query in queries:
             expected = normalized_rows(reference.query(query))
             assert normalized_rows(recovered.query(query)) == expected, query
-            inner.temporal_index_enabled = False
+            inner.batch_enabled = False
             brute = normalized_rows(recovered.query(query))
-            inner.temporal_index_enabled = True
+            inner.batch_enabled = True
             assert normalized_rows(recovered.query(query)) == brute, query
-        # The journal tail past the checkpoint is indexed too.
+        # The CSR built after recovery covers the journal tail past the
+        # checkpoint too.
+        assert inner._csr is not None
+        assert inner._csr.class_columns["Host"].current_uids
         tail = (
             f"AT {post_checkpoint_end - 1} Select source(P).name "
             f"From PATHS P Where P MATCHES VM()"
         )
-        inner.temporal_index_enabled = False
+        inner.batch_enabled = False
         brute_tail = normalized_rows(recovered.query(tail))
-        inner.temporal_index_enabled = True
+        inner.batch_enabled = True
         assert normalized_rows(recovered.query(tail)) == brute_tail
     finally:
         recovered.close()

@@ -15,7 +15,7 @@ from repro.plan.cache import PlanCache
 from repro.plan.planner import Planner, PlannerOptions
 from repro.rpe.parser import parse_rpe
 from repro.schema.registry import Schema
-from repro.stats.cardinality import CardinalityEstimator
+from repro.stats.cardinality import CLASS_COUNT_CACHE_SIZE, CardinalityEstimator
 from repro.storage.base import TimeScope
 from repro.storage.memgraph.store import MemGraphStore
 from repro.storage.relational.store import RelationalStore
@@ -94,6 +94,23 @@ def test_scoped_counts_cached_independently_and_invalidated_together():
     # data_version drift refreshes the epoch and drops *both* cache entries.
     assert estimator.class_cardinality(widget) == 3.0
     assert estimator.class_cardinality(widget, historic) == 10.0
+
+
+def test_count_cache_stays_bounded_under_distinct_timestamps():
+    """A read-only store never moves the epoch, so only the capacity bounds
+    the per-scope entries a client's stream of ``AT`` timestamps creates."""
+    store = churned_store()
+    estimator = CardinalityEstimator(store)
+    widget = store.schema.resolve("Widget")
+    epoch = estimator.stats_epoch
+    # Distinct instants before, during and after the two lifetimes.
+    instants = [T0 - 50 + i * 0.25 for i in range(CLASS_COUNT_CACHE_SIZE + 100)]
+    for t in instants + instants[:20]:
+        expected = 0.0 if t < T0 else (10.0 if t < T0 + 100 else 2.0)
+        assert estimator.class_cardinality(widget, TimeScope.at(t)) == expected, t
+        assert len(estimator._class_count_cache) <= CLASS_COUNT_CACHE_SIZE
+    assert len(estimator._class_count_cache) == CLASS_COUNT_CACHE_SIZE
+    assert estimator.stats_epoch == epoch
 
 
 def test_plan_cache_keys_on_scope_kind_not_timestamps():
